@@ -6,6 +6,7 @@
 //! clock, never a boot's critical path — writes the flat image, and keeps
 //! the mapped image plus the shared Base-EPT for warm boots.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -75,29 +76,26 @@ impl FuncImageStore {
         profile: &AppProfile,
         model: &CostModel,
     ) -> Result<&mut StoredFunction, SandboxError> {
-        if !self.functions.contains_key(&profile.name) {
-            let fs = profile.build_fs_server();
-            let mut program =
-                WrappedProgram::start_with(profile, Arc::clone(&fs), &self.offline, model)?;
-            program.run_to_entry_point(&self.offline, model)?;
-            let src = program.checkpoint_source(&self.offline, model)?;
-            let bytes = flat::write(&src, &self.offline, model);
-            let image = MappedImage::new(format!("{}.func", profile.name), bytes);
-            let flat = FlatImage::parse(&image, &self.offline, model)?;
-            self.functions.insert(
-                profile.name.clone(),
-                StoredFunction {
+        let stored = match self.functions.entry(profile.name.clone()) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => {
+                let fs = profile.build_fs_server();
+                let mut program =
+                    WrappedProgram::start_with(profile, Arc::clone(&fs), &self.offline, model)?;
+                program.run_to_entry_point(&self.offline, model)?;
+                let src = program.checkpoint_source(&self.offline, model)?;
+                let bytes = flat::write(&src, &self.offline, model);
+                let image = MappedImage::new(format!("{}.func", profile.name), bytes);
+                let flat = FlatImage::parse(&image, &self.offline, model)?;
+                slot.insert(StoredFunction {
                     flat,
                     fs,
                     base: None,
                     boots: 0,
-                },
-            );
-        }
-        Ok(self
-            .functions
-            .get_mut(&profile.name)
-            .expect("just inserted"))
+                })
+            }
+        };
+        Ok(stored)
     }
 
     /// Looks up a compiled function.
@@ -157,6 +155,63 @@ mod tests {
             stored.base.is_none(),
             "base is built by the first cold boot"
         );
+    }
+
+    /// FNV-1a 64 over `bytes`: an image digest independent of the CRC the
+    /// image format itself embeds.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn func_image_bytes_are_pinned() {
+        // (profile, image length, FNV-1a of the image, virtual write cost):
+        // the writer's exact output, pinned so a rewrite of `flat::write`
+        // must reproduce every byte and every charged nanosecond.
+        let model = CostModel::experimental_machine();
+        let pinned = [
+            (
+                AppProfile::c_hello(),
+                634_880,
+                0xfa10_a25c_6fc3_1848,
+                11_900_188,
+            ),
+            (
+                AppProfile::python_hello(),
+                7_319_552,
+                0x9fcf_bcc2_8bba_8b59,
+                33_187_555,
+            ),
+            (
+                AppProfile::python_django(),
+                42_954_752,
+                0x4a0b_5e9e_8732_64ed,
+                34_079_925,
+            ),
+        ];
+        for (profile, len, digest, cost) in pinned {
+            let offline = SimClock::new();
+            let fs = profile.build_fs_server();
+            let mut program = WrappedProgram::start_with(&profile, fs, &offline, &model).unwrap();
+            program.run_to_entry_point(&offline, &model).unwrap();
+            let src = program.checkpoint_source(&offline, &model).unwrap();
+            let clock = SimClock::new();
+            let bytes = flat::write(&src, &clock, &model);
+            assert_eq!(
+                (bytes.len(), fnv1a(&bytes), clock.now().as_nanos()),
+                (len, digest, cost),
+                "{}",
+                profile.name
+            );
+            let image = MappedImage::new("pinned.func", bytes);
+            let parsed = FlatImage::parse(&image, &clock, &model).unwrap();
+            assert_eq!(
+                parsed.restore_metadata(&clock, &model).unwrap(),
+                src.objects
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,8 @@ const MAGIC: &[u8; 4] = b"FUNC";
 const VERSION: u32 = 1;
 /// Fixed record header: id(8) kind(2) flags(4) nrefs(2) payload_len(4).
 const REC_HEADER: usize = 20;
+/// Relation-table entry: record index(4) slot(2) target(8).
+const REL_ENTRY: usize = 14;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Section {
@@ -80,79 +82,104 @@ fn w16(n: usize) -> u16 {
     u16::try_from(n).unwrap_or(u16::MAX)
 }
 
+/// Appends one section to `body` via `fill`, page-aligning its start if
+/// asked, and CRCs it in place.
+fn place(body: &mut Vec<u8>, align_page: bool, fill: impl FnOnce(&mut Vec<u8>)) -> Section {
+    if align_page {
+        body.resize(body.len().next_multiple_of(PAGE_SIZE), 0);
+    }
+    let start = body.len();
+    fill(body);
+    let bytes = body.get(start..).unwrap_or_default();
+    Section {
+        offset: w64(start),
+        len: w64(bytes.len()),
+        crc: crc32(bytes),
+    }
+}
+
 /// Writes a func-image (the offline func-image *compilation* step, §5).
 ///
-/// Charges per-object encode plus bulk copy costs — all off the startup
-/// critical path.
+/// One pass: the body is sized up front from the section lengths and every
+/// section — app pages included — is copied straight into it and CRC'd
+/// where it lands. Charges per-object encode plus bulk copy costs — all off
+/// the startup critical path.
 pub fn write(src: &CheckpointSource, clock: &SimClock, model: &CostModel) -> Bytes {
-    // --- metadata arena + index + relation table ---
-    let mut arena = Vec::new();
-    let mut index = Vec::with_capacity(src.objects.len() * 8);
-    let mut rel = Vec::new();
-    for (rec_idx, obj) in src.objects.iter().enumerate() {
-        assert!(
-            obj.refs.len() <= usize::from(u16::MAX),
-            "too many pointer slots"
-        );
-        index.extend_from_slice(&w64(arena.len()).to_le_bytes());
-        arena.extend_from_slice(&obj.id.to_le_bytes());
-        arena.extend_from_slice(&obj.kind.code().to_le_bytes());
-        arena.extend_from_slice(&obj.flags.to_le_bytes());
-        arena.extend_from_slice(&w16(obj.refs.len()).to_le_bytes());
-        arena.extend_from_slice(&w32(obj.payload.len()).to_le_bytes());
-        for (slot, target) in obj.refs.iter().enumerate() {
-            // Zeroed placeholder in the arena; the truth goes into the
-            // relation table.
-            arena.extend_from_slice(&REF_PLACEHOLDER.to_le_bytes());
-            rel.extend_from_slice(&w32(rec_idx).to_le_bytes());
-            rel.extend_from_slice(&w16(slot).to_le_bytes());
-            rel.extend_from_slice(&target.to_le_bytes());
-        }
-        arena.extend_from_slice(&obj.payload);
-    }
+    let record_len = |obj: &ObjRecord| REC_HEADER + obj.refs.len() * 8 + obj.payload.len();
+    let arena_len: usize = src.objects.iter().map(record_len).sum();
+    let slots: usize = src.objects.iter().map(|obj| obj.refs.len()).sum();
 
-    // --- I/O manifest (same wire encoding as the classic format) ---
+    // I/O manifest (same wire encoding as the classic format); small.
     let mut manifest = Vec::new();
     crate::varint::put_u64(&mut manifest, w64(src.io_conns.len()));
     for conn in &src.io_conns {
         classic::encode_conn(&mut manifest, conn);
     }
 
-    // --- application memory index + raw pages ---
-    let mut appmem_index = Vec::with_capacity(src.app_pages.len() * 16);
-    let mut appmem = Vec::with_capacity(src.app_pages.len() * PAGE_SIZE);
-    for page in &src.app_pages {
-        assert_eq!(page.data.len(), PAGE_SIZE, "app pages must be page-sized");
-        appmem_index.extend_from_slice(&page.vpn.to_le_bytes());
-        appmem.extend_from_slice(&page.data);
-    }
+    let metadata_end = PAGE_SIZE
+        + src.objects.len() * 8
+        + arena_len
+        + slots * REL_ENTRY
+        + manifest.len()
+        + src.app_pages.len() * 8;
+    let image_len = (metadata_end.next_multiple_of(PAGE_SIZE) + src.app_pages.len() * PAGE_SIZE)
+        .next_multiple_of(PAGE_SIZE);
+    let mut body = Vec::with_capacity(image_len);
+    body.resize(PAGE_SIZE, 0); // reserve the header page
 
-    // --- assemble, page-aligning the raw app pages ---
-    let mut body = vec![0u8; PAGE_SIZE]; // reserve the header page
-    let place = |body: &mut Vec<u8>, bytes: &[u8], align_page: bool| -> Section {
-        if align_page {
-            let pad = body.len().next_multiple_of(PAGE_SIZE) - body.len();
-            body.extend(std::iter::repeat_n(0, pad));
-        }
-        let offset = w64(body.len());
-        body.extend_from_slice(bytes);
-        Section {
-            offset,
-            len: w64(bytes.len()),
-            crc: crc32(bytes),
-        }
-    };
     let sections = Sections {
-        meta_index: place(&mut body, &index, false),
-        meta_arena: place(&mut body, &arena, false),
-        rel_table: place(&mut body, &rel, false),
-        io_manifest: place(&mut body, &manifest, false),
-        appmem_index: place(&mut body, &appmem_index, false),
-        appmem_pages: place(&mut body, &appmem, true),
+        meta_index: place(&mut body, false, |body| {
+            let mut offset = 0;
+            for obj in &src.objects {
+                body.extend_from_slice(&w64(offset).to_le_bytes());
+                offset += record_len(obj);
+            }
+        }),
+        meta_arena: place(&mut body, false, |body| {
+            for obj in &src.objects {
+                assert!(
+                    obj.refs.len() <= usize::from(u16::MAX),
+                    "too many pointer slots"
+                );
+                body.extend_from_slice(&obj.id.to_le_bytes());
+                body.extend_from_slice(&obj.kind.code().to_le_bytes());
+                body.extend_from_slice(&obj.flags.to_le_bytes());
+                body.extend_from_slice(&w16(obj.refs.len()).to_le_bytes());
+                body.extend_from_slice(&w32(obj.payload.len()).to_le_bytes());
+                // Zeroed placeholders in the arena; the truth goes into the
+                // relation table.
+                for _ in &obj.refs {
+                    body.extend_from_slice(&REF_PLACEHOLDER.to_le_bytes());
+                }
+                body.extend_from_slice(&obj.payload);
+            }
+        }),
+        rel_table: place(&mut body, false, |body| {
+            for (rec_idx, obj) in src.objects.iter().enumerate() {
+                for (slot, target) in obj.refs.iter().enumerate() {
+                    body.extend_from_slice(&w32(rec_idx).to_le_bytes());
+                    body.extend_from_slice(&w16(slot).to_le_bytes());
+                    body.extend_from_slice(&target.to_le_bytes());
+                }
+            }
+        }),
+        io_manifest: place(&mut body, false, |body| body.extend_from_slice(&manifest)),
+        appmem_index: place(&mut body, false, |body| {
+            for page in &src.app_pages {
+                body.extend_from_slice(&page.vpn.to_le_bytes());
+            }
+        }),
+        // Page-aligned so the Base-EPT references the pages in place.
+        appmem_pages: place(&mut body, true, |body| {
+            for page in &src.app_pages {
+                assert_eq!(page.data.len(), PAGE_SIZE, "app pages must be page-sized");
+                body.extend_from_slice(&page.data);
+            }
+        }),
     };
     // Pad the tail to a whole page so the image itself is well-formed.
-    let pad = body.len().next_multiple_of(PAGE_SIZE) - body.len();
-    body.extend(std::iter::repeat_n(0, pad));
+    body.resize(body.len().next_multiple_of(PAGE_SIZE), 0);
+    debug_assert_eq!(body.len(), image_len, "func-image sized up front");
 
     // --- header page ---
     let mut header = Vec::with_capacity(PAGE_SIZE);
@@ -360,13 +387,13 @@ impl FlatImage {
         }
 
         // Stage 2: parallel pointer re-establishment.
-        if rel.len() % 14 != 0 {
+        if rel.len() % REL_ENTRY != 0 {
             return Err(ImageError::Truncated {
                 what: "relation table",
             });
         }
         let entries: Vec<(u32, u16, u64)> = rel
-            .chunks_exact(14)
+            .chunks_exact(REL_ENTRY)
             .map(|c| {
                 let mut p = 0usize;
                 Ok((

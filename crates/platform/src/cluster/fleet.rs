@@ -5,11 +5,12 @@
 //! gateways — full fidelity, closed loop. This module is its open-loop
 //! sibling, built on the same discrete-event core as
 //! [`Simulation::run_fleet`](crate::simulate::Simulation::run_fleet):
-//! per-boot microstructure is calibrated once per distinct cost shape, and
-//! the trace then flows through the event queue at 10k-function scale. The
-//! cluster dynamics the bench sweeps — placement budget versus remote-fork
-//! traffic, flash crowds saturating the template holders, transfer faults
-//! degrading down the ladder — all live in the event loop:
+//! per-boot microstructure is calibrated once per distinct cost shape (and
+//! memoized for the whole process), and the trace then flows through the
+//! event queue at 10k-function scale. The cluster dynamics the bench
+//! sweeps — placement budget versus remote-fork traffic, flash crowds
+//! saturating the template holders, transfer faults degrading down the
+//! ladder — all live in the event loop:
 //!
 //! - **local** — a template-holder node under capacity sforks at the
 //!   calibrated steady fork cost;
@@ -30,6 +31,8 @@
 //! Determinism is byte-exact: same catalogue, config, knobs, and trace —
 //! same [`ClusterOutcome`], including the routing-decision hash.
 
+use std::sync::{Mutex, PoisonError};
+
 use faultsim::{FaultInjector, FaultKind, FaultPlan, InjectionPoint, NodePlan};
 use runtimes::AppProfile;
 use sandbox::BootCtx;
@@ -40,6 +43,7 @@ use simtime::{CostModel, LatencyHistogram, MetricsRegistry, SimNanos};
 use super::chaos::{ChaosEvent, ChaosPolicy, ChaosRecord, ChaosState, NodeHealth};
 use super::{ClusterConfig, RoutingPolicy};
 use crate::resilience::{resilient_boot, ResiliencePolicy};
+use crate::simulate::fleet::by_shape;
 use crate::simulate::{
     validate_trace, Arena, Event, EventQueue, FnId, InstanceId, Quantiles, TraceRequest,
     REUSE_HANDOFF,
@@ -1559,70 +1563,98 @@ impl ClusterSim {
         })
     }
 
-    /// Boots each distinct cost shape's real engines on an offline clock:
-    /// steady local sfork and handler execution (Fork mode, template built
-    /// first), plus the full cold restore (Cold mode) for the rung the
-    /// remote fork is competing against. Functions differing only in name
-    /// share one calibration.
-    fn calibrate(&mut self) -> Result<Vec<ClusterFn>, PlatformError> {
-        let calibration = ResiliencePolicy::none();
-        let mut scratch = MetricsRegistry::new();
-        type Costs = (SimNanos, SimNanos, SimNanos);
-        let mut shapes: Vec<(AppProfile, Costs)> = Vec::new();
-        let mut out = Vec::with_capacity(self.catalogue.len());
-        for profile in &self.catalogue {
-            let mut key = profile.clone();
-            key.name = String::new();
-            let costs = match shapes.iter().find(|(shape, _)| *shape == key) {
-                Some((_, costs)) => *costs,
-                None => {
-                    let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
-                    // Pay template construction offline — holders are
-                    // provisioned, so only the steady boot is on-path.
-                    let mut first_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut fork,
-                        profile,
-                        &calibration,
-                        &mut first_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut steady_ctx = BootCtx::fresh(&self.model);
-                    let booted = resilient_boot(
-                        &mut fork,
-                        profile,
-                        &calibration,
-                        &mut steady_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut outcome = booted.outcome;
-                    let exec_ctx = BootCtx::fresh(&self.model);
-                    outcome
-                        .program
-                        .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-                    let mut cold_engine = CatalyzerEngine::standalone(BootMode::Cold);
-                    let mut cold_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut cold_engine,
-                        profile,
-                        &calibration,
-                        &mut cold_ctx,
-                        &mut scratch,
-                    )?;
-                    let costs = (steady_ctx.now(), exec_ctx.now(), cold_ctx.now());
-                    shapes.push((key, costs));
-                    costs
-                }
-            };
-            out.push(ClusterFn {
-                boot: costs.0,
-                exec: costs.1,
+    /// Calibrates every function's costs, one distinct cost shape at a
+    /// time, through the process-wide [`CALIBRATIONS`] memo.
+    fn calibrate(&self) -> Result<Vec<ClusterFn>, PlatformError> {
+        let costs = by_shape(&self.catalogue, |profile| memoized(profile, &self.model))?;
+        Ok(self
+            .catalogue
+            .iter()
+            .zip(costs)
+            .map(|(profile, (boot, exec, cold_boot))| ClusterFn {
+                boot,
+                exec,
                 transfer: self.config.costs.transfer_time(profile),
-                cold_boot: costs.2,
-            });
-        }
-        Ok(out)
+                cold_boot,
+            })
+            .collect())
     }
+}
+
+/// Calibrated `(steady fork, exec, cold boot)` of one function.
+type Costs = (SimNanos, SimNanos, SimNanos);
+
+/// Every calibration this process has run, keyed by the exact profile
+/// booted and the cost model. [`calibrate_shape`] uses fixed engines on
+/// fresh contexts with no policy and no injector, so its result is a pure
+/// function of that key: every [`ClusterSim`] in the process — across
+/// cells, grids and threads — reuses it instead of booting again. The name
+/// stays in the key because the OCI config and the handler file carry it,
+/// and their lengths move the cold boot by nanoseconds.
+static CALIBRATIONS: Mutex<Vec<(AppProfile, CostModel, Costs)>> = Mutex::new(Vec::new());
+
+/// The memoized calibration of `profile` under `model`. The lock is never
+/// held across a boot, and errors are returned, never cached.
+fn memoized(profile: &AppProfile, model: &CostModel) -> Result<Costs, PlatformError> {
+    let cached = |memo: &[(AppProfile, CostModel, Costs)]| {
+        memo.iter()
+            .find(|(p, m, _)| p == profile && m == model)
+            .map(|(_, _, costs)| *costs)
+    };
+    if let Some(costs) = cached(&CALIBRATIONS.lock().unwrap_or_else(PoisonError::into_inner)) {
+        return Ok(costs);
+    }
+    let costs = calibrate_shape(profile, model)?;
+    let mut memo = CALIBRATIONS.lock().unwrap_or_else(PoisonError::into_inner);
+    // Another thread may have calibrated the same key meanwhile; both
+    // results are equal, so the first one stays.
+    if cached(&memo).is_none() {
+        memo.push((profile.clone(), model.clone(), costs));
+    }
+    Ok(costs)
+}
+
+/// Boots one cost shape's real engines on an offline clock: steady local
+/// sfork and handler execution (Fork mode, template built first), plus the
+/// full cold restore (Cold mode) for the rung the remote fork is competing
+/// against.
+fn calibrate_shape(profile: &AppProfile, model: &CostModel) -> Result<Costs, PlatformError> {
+    let calibration = ResiliencePolicy::none();
+    let mut scratch = MetricsRegistry::new();
+    let mut fork = CatalyzerEngine::standalone(BootMode::Fork);
+    // Pay template construction offline — holders are provisioned, so only
+    // the steady boot is on-path.
+    let mut first_ctx = BootCtx::fresh(model);
+    resilient_boot(
+        &mut fork,
+        profile,
+        &calibration,
+        &mut first_ctx,
+        &mut scratch,
+    )?;
+    let mut steady_ctx = BootCtx::fresh(model);
+    let booted = resilient_boot(
+        &mut fork,
+        profile,
+        &calibration,
+        &mut steady_ctx,
+        &mut scratch,
+    )?;
+    let mut outcome = booted.outcome;
+    let exec_ctx = BootCtx::fresh(model);
+    outcome
+        .program
+        .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
+    let mut cold_engine = CatalyzerEngine::standalone(BootMode::Cold);
+    let mut cold_ctx = BootCtx::fresh(model);
+    resilient_boot(
+        &mut cold_engine,
+        profile,
+        &calibration,
+        &mut cold_ctx,
+        &mut scratch,
+    )?;
+    Ok((steady_ctx.now(), exec_ctx.now(), cold_ctx.now()))
 }
 
 #[cfg(test)]
@@ -1914,5 +1946,62 @@ mod tests {
             serde_json::to_string(&out).unwrap()
         };
         assert_eq!(once(), once(), "same inputs, byte-identical outcome");
+    }
+
+    /// Memo entries for exactly `profile` under `model`.
+    fn memo_entries(profile: &AppProfile, model: &CostModel) -> Vec<Costs> {
+        CALIBRATIONS
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(p, m, _)| p == profile && m == model)
+            .map(|(_, _, costs)| *costs)
+            .collect()
+    }
+
+    #[test]
+    fn second_sim_reuses_the_process_calibration() {
+        let mut profile = AppProfile::ruby_hello();
+        profile.name = "memo-reuse".to_string();
+        let model = CostModel::experimental_machine();
+        let trace = burst(200, 0);
+        let once = || {
+            let out = ClusterSim::new(vec![profile.clone()], ClusterConfig::new(2, 1))
+                .run_cluster(&trace)
+                .unwrap();
+            serde_json::to_string(&out).unwrap()
+        };
+        let first = once();
+        assert_eq!(memo_entries(&profile, &model).len(), 1);
+        assert_eq!(once(), first, "memoized costs, byte-identical outcome");
+        assert_eq!(
+            memo_entries(&profile, &model).len(),
+            1,
+            "the second sim adds no entry"
+        );
+    }
+
+    #[test]
+    fn each_cost_model_gets_its_own_calibration() {
+        let mut profile = AppProfile::node_hello();
+        profile.name = "memo-models".to_string();
+        let default = CostModel::experimental_machine();
+        let mut slower = default.clone();
+        slower.host.config_parse_per_kib = slower.host.config_parse_per_kib.saturating_mul(4);
+        let trace = burst(50, 0);
+        let sim = |model: &CostModel| {
+            ClusterSim::new(vec![profile.clone()], ClusterConfig::new(1, 1))
+                .with_model(model.clone())
+                .run_cluster(&trace)
+                .unwrap()
+        };
+        sim(&default);
+        sim(&slower);
+        let (base, other) = (
+            memo_entries(&profile, &default),
+            memo_entries(&profile, &slower),
+        );
+        assert_eq!((base.len(), other.len()), (1, 1));
+        assert!(other[0].2 > base[0].2, "{other:?} vs {base:?}");
     }
 }

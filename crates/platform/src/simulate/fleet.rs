@@ -445,64 +445,82 @@ impl Simulation {
     }
 
     /// Boots each function's real engine on an offline clock to extract
-    /// its three calibrated costs; the engines are dropped afterwards.
+    /// its three calibrated costs; the engines are dropped afterwards. The
+    /// engine factory is opaque and cannot key a memo, so unlike the
+    /// cluster engine's calibration this runs on every call.
     fn calibrate(&mut self) -> Result<Vec<FleetFn>, PlatformError> {
         let calibration = ResiliencePolicy::none();
         let mut scratch = MetricsRegistry::new();
-        // Functions that differ only in name share one calibration: engines
-        // derive their behaviour from the profile's cost fields, never its
-        // name, so a synthetic fleet catalogue with a bounded set of
-        // distinct cost shapes (e.g. `workloads::catalogue::synthetic`)
-        // pays dozens of calibration boots instead of thousands.
-        let mut shapes: Vec<(AppProfile, (SimNanos, SimNanos, SimNanos))> = Vec::new();
-        let mut out = Vec::with_capacity(self.catalogue.len());
-        for profile in &self.catalogue {
-            let mut key = profile.clone();
-            key.name = String::new();
-            let costs = match shapes.iter().find(|(shape, _)| *shape == key) {
-                Some((_, costs)) => *costs,
-                None => {
-                    let mut engine = (self.engine)(profile);
-                    let mut first_ctx = BootCtx::fresh(&self.model);
-                    let booted = resilient_boot(
-                        &mut engine,
-                        profile,
-                        &calibration,
-                        &mut first_ctx,
-                        &mut scratch,
-                    )?;
-                    let mut outcome = booted.outcome;
-                    let exec_ctx = BootCtx::fresh(&self.model);
-                    outcome
-                        .program
-                        .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
-                    let mut steady_ctx = BootCtx::fresh(&self.model);
-                    resilient_boot(
-                        &mut engine,
-                        profile,
-                        &calibration,
-                        &mut steady_ctx,
-                        &mut scratch,
-                    )?;
-                    let costs = (first_ctx.now(), steady_ctx.now(), exec_ctx.now());
-                    shapes.push((key, costs));
-                    costs
-                }
-            };
-            out.push(FleetFn {
-                first: costs.0,
-                boot: costs.1,
-                exec: costs.2,
+        let costs = by_shape(&self.catalogue, |profile| {
+            let mut engine = (self.engine)(profile);
+            let mut first_ctx = BootCtx::fresh(&self.model);
+            let booted = resilient_boot(
+                &mut engine,
+                profile,
+                &calibration,
+                &mut first_ctx,
+                &mut scratch,
+            )?;
+            let mut outcome = booted.outcome;
+            let exec_ctx = BootCtx::fresh(&self.model);
+            outcome
+                .program
+                .invoke_handler(exec_ctx.clock(), exec_ctx.model())?;
+            let mut steady_ctx = BootCtx::fresh(&self.model);
+            resilient_boot(
+                &mut engine,
+                profile,
+                &calibration,
+                &mut steady_ctx,
+                &mut scratch,
+            )?;
+            Ok((first_ctx.now(), steady_ctx.now(), exec_ctx.now()))
+        })?;
+        Ok(costs
+            .into_iter()
+            .map(|(first, boot, exec)| FleetFn {
+                first,
+                boot,
+                exec,
                 booted_once: false,
                 poisoned: false,
                 idle: Vec::new(),
                 idle_live: 0,
                 in_flight: 0,
                 tick_pending: false,
-            });
-        }
-        Ok(out)
+            })
+            .collect())
     }
+}
+
+/// Calibrates `catalogue` one distinct cost shape at a time: `calibrate`
+/// runs on the first function of each shape, and every function of that
+/// shape gets its result. Functions that differ only in name share a
+/// shape — engines derive their costs from the profile's cost fields; the
+/// name only sizes the OCI config and handler file — so a synthetic fleet
+/// catalogue with a bounded set of distinct shapes (e.g.
+/// `workloads::catalogue::synthetic`) pays dozens of calibration boots
+/// instead of thousands.
+pub(crate) fn by_shape<C: Copy>(
+    catalogue: &[AppProfile],
+    mut calibrate: impl FnMut(&AppProfile) -> Result<C, PlatformError>,
+) -> Result<Vec<C>, PlatformError> {
+    let mut shapes: Vec<(AppProfile, C)> = Vec::new();
+    let mut out = Vec::with_capacity(catalogue.len());
+    for profile in catalogue {
+        let mut key = profile.clone();
+        key.name = String::new();
+        let costs = match shapes.iter().find(|(shape, _)| *shape == key) {
+            Some((_, costs)) => *costs,
+            None => {
+                let costs = calibrate(profile)?;
+                shapes.push((key, costs));
+                costs
+            }
+        };
+        out.push(costs);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -124,6 +124,12 @@ step "cluster sweep (BENCH_pr8.json valid + up to date)" \
 step "chaos grid (BENCH_pr9.json valid + up to date)" \
   cargo run -q -p bench --bin repro -- chaos --check BENCH_pr9.json
 
+# Correctness smoke for the host-time benchmark: every perfbench workload
+# for one second, failing unless its output checks pass ("correct": true,
+# "failed": 0) — the pinned seed-42 digests, route_hash and chaos log
+# included, guard the process-wide calibration memo. Measures nothing.
+step "perfbench smoke (pinned digests, 0 failed)" bash tools/perfbench_smoke.sh
+
 # Smoke-run the simulation-core throughput bench (closed-loop vs fleet
 # engine, simulated requests per wall-clock second): it must build and
 # complete, keeping the density grid's engine path benchable.
