@@ -644,7 +644,10 @@ mod tests {
     fn a_small_cell_is_deterministic_and_conserves_requests() {
         let model = CostModel::experimental_machine();
         let cat = vec![AppProfile::c_hello()];
-        let trace: Vec<TraceRequest> = (0..300u64)
+        // More concurrent arrivals than one node holds, so the ladder has
+        // to leave the local holder and the remote-fork rung fires.
+        let requests = NODE_CAPACITY as u64 + 300;
+        let trace: Vec<TraceRequest> = (0..requests)
             .map(|i| TraceRequest {
                 arrival: SimNanos::from_nanos(i),
                 function: 0,

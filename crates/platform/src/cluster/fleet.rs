@@ -394,10 +394,7 @@ impl ClusterSim {
         node_state.resize_with(nodes, NodeState::default);
 
         let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
+        let mut queue = EventQueue::for_trace(trace);
 
         let mut completed = 0u64;
         let mut shed = 0u64;
@@ -793,10 +790,7 @@ impl ClusterSim {
         node_state.resize_with(nodes, NodeState::default);
 
         let mut instances: Arena<Slot> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
+        let mut queue = EventQueue::for_trace(trace);
         // The fault schedule becomes event classes: crashes fire as
         // `NodeCrash`, partition heals as `PartitionHeal` (epoch = plan
         // order). Partition *starts* and gray windows need no events —

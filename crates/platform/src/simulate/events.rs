@@ -1,16 +1,21 @@
 //! The central event queue of the discrete-event engine.
 //!
-//! One `BinaryHeap` keyed on [`SimNanos`] drives the whole simulation;
-//! every state change is an [`Event`] popped in deterministic order. The
-//! tie-break at equal timestamps is total and *insertion-order
-//! independent*: `(time, event class, payload key, payload subkey)` — the
-//! sequence number is consulted only for exact duplicates, which the
-//! engine never schedules. Together the key and subkey bind every payload
-//! field (catalint's `eventproto` pass checks this mechanically), so two
-//! distinct events can never compare equal. Class order encodes the
-//! platform's causality at an instant: completions free capacity,
-//! expiries reclaim it, background work runs, and only then does a new
-//! arrival see the world.
+//! Two sources feed it: a `BinaryHeap` keyed on [`SimNanos`] for every
+//! event the engine schedules while it runs, and a cursor over the
+//! validated, already-sorted request trace for the arrivals. Each pop
+//! takes the smaller of the heap's top and the cursor's next arrival, so
+//! the trace never has to be copied into the heap and the heap stays as
+//! deep as the work in flight, not as long as the trace. Every state
+//! change is an [`Event`] popped in deterministic order. The tie-break at
+//! equal timestamps is total and *insertion-order independent*: `(time,
+//! event class, payload key, payload subkey)` — the sequence number is
+//! consulted only for exact duplicates, which the engine never schedules.
+//! Together the key and subkey bind every payload field (catalint's
+//! `eventproto` pass checks this mechanically), so two distinct events can
+//! never compare equal, and which source an event came from cannot change
+//! where it pops. Class order encodes the platform's causality at an
+//! instant: completions free capacity, expiries reclaim it, background
+//! work runs, and only then does a new arrival see the world.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -18,6 +23,7 @@ use std::collections::BinaryHeap;
 use simtime::SimNanos;
 
 use super::arena::{FnId, InstanceId};
+use super::TraceRequest;
 
 /// One scheduled state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,6 +188,19 @@ struct Scheduled {
     event: Event,
 }
 
+impl Scheduled {
+    fn new(at: SimNanos, event: Event, seq: u64) -> Scheduled {
+        Scheduled {
+            at,
+            class: event.class(),
+            key: event.key(),
+            subkey: event.subkey(),
+            seq,
+            event,
+        }
+    }
+}
+
 // Reverse ordering: `BinaryHeap` is a max-heap, we pop earliest first.
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
@@ -201,57 +220,101 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The engine's priority queue: min-ordered on `(time, class, key, subkey)`.
+/// The engine's priority queue: min-ordered on `(time, class, key, subkey)`
+/// over the scheduled events and the trace's pending arrivals together.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub struct EventQueue<'t> {
     heap: BinaryHeap<Scheduled>,
+    /// The sorted trace whose arrivals are fed in without being scheduled.
+    arrivals: &'t [TraceRequest],
+    /// Index of the next arrival the cursor hands out.
+    next: usize,
     seq: u64,
+    /// Fire time of the last pop, for the no-scheduling-into-the-past check.
+    #[cfg(debug_assertions)]
+    now: SimNanos,
 }
 
-impl EventQueue {
+impl<'t> EventQueue<'t> {
     /// An empty queue.
-    pub fn new() -> EventQueue {
+    pub fn new() -> EventQueue<'t> {
         EventQueue::default()
     }
 
     /// An empty queue with room for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> EventQueue {
+    pub fn with_capacity(capacity: usize) -> EventQueue<'t> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
-            seq: 0,
+            ..EventQueue::default()
+        }
+    }
+
+    /// A queue holding `Arrival { request: i }` at `trace[i].arrival` for
+    /// every request of `trace`, which must be sorted by arrival (as
+    /// `validate_trace` guarantees). The arrivals count as scheduled from
+    /// the start, ahead of anything scheduled later.
+    pub fn for_trace(trace: &'t [TraceRequest]) -> EventQueue<'t> {
+        debug_assert!(
+            trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+            "EventQueue::for_trace needs a trace sorted by arrival"
+        );
+        EventQueue {
+            arrivals: trace,
+            seq: trace.len() as u64,
+            ..EventQueue::default()
         }
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimNanos, event: Event) {
-        let seq = self.seq;
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            at >= self.now,
+            "{event:?} scheduled at {at:?}, before now ({:?})",
+            self.now
+        );
+        self.heap.push(Scheduled::new(at, event, self.seq));
         self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            class: event.class(),
-            key: event.key(),
-            subkey: event.subkey(),
-            seq,
-            event,
-        });
     }
 
-    /// Pops the earliest event, with its fire time.
+    /// Pops the earliest event, with its fire time. The next trace arrival
+    /// competes with the heap's top as the very entry scheduling it up
+    /// front would have pushed (its sequence number is its trace index),
+    /// so the pop order is the all-in-heap order.
     pub fn pop(&mut self) -> Option<(SimNanos, Event)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        let arrival = self.arrivals.get(self.next).map(|r| {
+            let request = self.next as u64;
+            Scheduled::new(r.arrival, Event::Arrival { request }, request)
+        });
+        let popped = match (arrival, self.heap.peek()) {
+            // Reverse ordering: the greater entry is the earlier one.
+            (Some(arrival), Some(top)) if *top > arrival => self.heap.pop(),
+            (Some(arrival), _) => {
+                self.next += 1;
+                Some(arrival)
+            }
+            (None, _) => self.heap.pop(),
+        }
+        .map(|s| (s.at, s.event));
+        #[cfg(debug_assertions)]
+        if let Some((at, _)) = popped {
+            self.now = at;
+        }
+        popped
     }
 
-    /// Pending events.
+    /// Pending events, trace arrivals not yet popped included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + (self.arrivals.len() - self.next)
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
-    /// Events ever scheduled (the engine's `events` accounting).
+    /// Events ever scheduled, every trace arrival included (the engine's
+    /// `events` accounting).
     pub fn scheduled(&self) -> u64 {
         self.seq
     }
@@ -419,6 +482,30 @@ mod tests {
         let b: Vec<_> = std::iter::from_fn(|| backward.pop()).collect();
         assert_eq!(a, b);
         assert!(matches!(a[0].1, Event::ExecComplete { instance: None, .. }));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before now")]
+    fn scheduling_into_the_past_is_a_bug() {
+        let trace = [TraceRequest {
+            arrival: nanos(10),
+            function: 0,
+        }];
+        let mut q = EventQueue::for_trace(&trace);
+        q.pop();
+        q.schedule(nanos(9), Event::NodeCrash { node: 0 });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sorted by arrival")]
+    fn an_unsorted_trace_is_a_bug() {
+        let trace = [2u64, 1].map(|t| TraceRequest {
+            arrival: nanos(t),
+            function: 0,
+        });
+        let _ = EventQueue::for_trace(&trace);
     }
 
     #[test]

@@ -180,10 +180,7 @@ impl Simulation {
         });
 
         let mut instances: Arena<Instance> = Arena::with_capacity(trace.len().min(1 << 20));
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
+        let mut queue = EventQueue::for_trace(trace);
         if self.min_ready > 0 {
             for (index, f) in fns.iter_mut().enumerate() {
                 f.tick_pending = true;

@@ -1,12 +1,14 @@
 //! The fleet simulation core: one discrete-event engine behind one
 //! builder-style [`Simulation`] API.
 //!
-//! A central [`EventQueue`] (a `BinaryHeap` keyed on [`SimNanos`]) drives
-//! every run: request arrivals, boot completions, execution completions,
-//! keep-alive expiries, and self-healing pool ticks are all events popped
-//! in a deterministic, insertion-order-independent order. Instance and
-//! function state live in index-based arenas ([`Arena`], [`InstanceId`],
-//! [`FnId`]) instead of `Rc<RefCell<...>>` webs.
+//! A central [`EventQueue`] drives every run: a `BinaryHeap` keyed on
+//! [`SimNanos`] holds the events scheduled while the run goes on, and a
+//! cursor over the sorted trace feeds the request arrivals in without
+//! copying them into the heap. Arrivals, boot completions, execution
+//! completions, keep-alive expiries, and self-healing pool ticks are all
+//! events popped in a deterministic, insertion-order-independent order.
+//! Instance and function state live in index-based arenas ([`Arena`],
+//! [`InstanceId`], [`FnId`]) instead of `Rc<RefCell<...>>` webs.
 //!
 //! Two engines share the queue:
 //!
@@ -308,10 +310,7 @@ impl Simulation {
             .collect();
         let mut ctrl = self.admission.take().map(AdmissionController::new);
 
-        let mut queue = EventQueue::with_capacity(trace.len().saturating_mul(2));
-        for (i, req) in trace.iter().enumerate() {
-            queue.schedule(req.arrival, Event::Arrival { request: i as u64 });
-        }
+        let mut queue = EventQueue::for_trace(trace);
 
         let mut admitted = 0u64;
         let mut completed = 0u64;

@@ -308,6 +308,51 @@ fn fingerprint(at: SimNanos, event: &Event) -> (u64, u8, u64) {
     (at.as_nanos(), class, key)
 }
 
+/// One event of class rank `class` (`0..=9` non-arrival kinds, anything
+/// else an arrival) built from `key`, with instance events drawn from
+/// `ids` (`key < ids.len()`).
+fn event_of(class: u8, key: u64, ids: &[InstanceId]) -> Event {
+    let slot = usize::try_from(key).unwrap_or(0);
+    match class {
+        0 => Event::ExecComplete {
+            request: key,
+            instance: None,
+        },
+        1 => Event::KeepAliveExpiry {
+            instance: ids[slot],
+        },
+        2 => Event::BootComplete {
+            instance: ids[slot],
+        },
+        3 => Event::PoolTick {
+            function: FnId::from_index(slot),
+        },
+        4 => Event::TransferComplete {
+            node: u32::try_from(key % 4).unwrap_or(0),
+            function: FnId::from_index(slot),
+            gen: u32::try_from(key % 3).unwrap_or(0),
+        },
+        5 => Event::NodeRepair {
+            node: u32::try_from(key).unwrap_or(0),
+        },
+        6 => Event::NodeCrash {
+            node: u32::try_from(key).unwrap_or(0),
+        },
+        7 => Event::PartitionHeal {
+            epoch: u32::try_from(key).unwrap_or(0),
+        },
+        8 => Event::HedgeFire {
+            node: u32::try_from(key % 4).unwrap_or(0),
+            function: FnId::from_index(slot),
+            gen: u32::try_from(key % 3).unwrap_or(0),
+        },
+        9 => Event::HeartbeatTick {
+            round: u32::try_from(key).unwrap_or(0),
+        },
+        _ => Event::Arrival { request: key },
+    }
+}
+
 fn trace_from(gaps_us: &[u32]) -> Vec<TraceRequest> {
     let mut now = SimNanos::ZERO;
     gaps_us
@@ -336,31 +381,7 @@ proptest! {
         let ids: Vec<InstanceId> = (0..24).map(|_| arena.insert(0)).collect();
         let mut events: Vec<(SimNanos, Event)> = raw
             .iter()
-            .map(|&(t, class, key)| {
-                let slot = usize::try_from(key).unwrap_or(0);
-                let event = match class {
-                    0 => Event::ExecComplete { request: key, instance: None },
-                    1 => Event::KeepAliveExpiry { instance: ids[slot] },
-                    2 => Event::BootComplete { instance: ids[slot] },
-                    3 => Event::PoolTick { function: FnId::from_index(slot) },
-                    4 => Event::TransferComplete {
-                        node: u32::try_from(key % 4).unwrap_or(0),
-                        function: FnId::from_index(slot),
-                        gen: u32::try_from(key % 3).unwrap_or(0),
-                    },
-                    5 => Event::NodeRepair { node: u32::try_from(key).unwrap_or(0) },
-                    6 => Event::NodeCrash { node: u32::try_from(key).unwrap_or(0) },
-                    7 => Event::PartitionHeal { epoch: u32::try_from(key).unwrap_or(0) },
-                    8 => Event::HedgeFire {
-                        node: u32::try_from(key % 4).unwrap_or(0),
-                        function: FnId::from_index(slot),
-                        gen: u32::try_from(key % 3).unwrap_or(0),
-                    },
-                    9 => Event::HeartbeatTick { round: u32::try_from(key).unwrap_or(0) },
-                    _ => Event::Arrival { request: key },
-                };
-                (SimNanos::from_nanos(t), event)
-            })
+            .map(|&(t, class, key)| (SimNanos::from_nanos(t), event_of(class, key, &ids)))
             .collect();
         events.sort_by_key(|(at, e)| fingerprint(*at, e));
         events.dedup_by_key(|(at, e)| fingerprint(*at, e));
@@ -395,6 +416,70 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(keys, forward_again);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The trace-fed queue pops exactly what the all-in-heap queue pops
+    /// when every arrival is scheduled up front. Both are driven the way
+    /// the run loops drive them: after each pop, events are scheduled at
+    /// or after the popped time, some of them failover-style re-arrivals
+    /// of requests that have already arrived.
+    #[test]
+    fn trace_fed_queue_matches_the_all_in_heap_queue(
+        gaps in prop::collection::vec(0u64..4, 1..60),
+        script in prop::collection::vec(
+            prop::collection::vec((0u8..12, 0u64..6, 0u64..24), 0..3),
+            0..200,
+        ),
+    ) {
+        let mut arena: Arena<u8> = Arena::new();
+        let ids: Vec<InstanceId> = (0..24).map(|_| arena.insert(0)).collect();
+        let mut at = 0u64;
+        let trace: Vec<TraceRequest> = gaps
+            .iter()
+            .enumerate()
+            .map(|(i, gap)| {
+                at += gap;
+                TraceRequest { arrival: SimNanos::from_nanos(at), function: i % 3 }
+            })
+            .collect();
+
+        let mut fed = EventQueue::for_trace(&trace);
+        let mut heap = EventQueue::with_capacity(trace.len());
+        for (i, r) in trace.iter().enumerate() {
+            heap.schedule(r.arrival, Event::Arrival { request: i as u64 });
+        }
+        prop_assert_eq!(fed.scheduled(), heap.scheduled());
+
+        let mut arrived: Vec<u64> = Vec::new();
+        let mut steps = script.iter();
+        loop {
+            prop_assert_eq!(fed.len(), heap.len());
+            let popped = fed.pop();
+            prop_assert_eq!(popped, heap.pop());
+            let Some((now, event)) = popped else { break };
+            // The heap starts with arrivals only, so the first pop is one
+            // and `arrived` is never empty below.
+            if let Event::Arrival { request } = event {
+                arrived.push(request);
+            }
+            for &(class, delta, key) in steps.next().into_iter().flatten() {
+                let event = if class < 10 {
+                    event_of(class, key, &ids)
+                } else {
+                    let nth = usize::try_from(key).unwrap_or(0) % arrived.len();
+                    Event::Arrival { request: arrived[nth] }
+                };
+                let at = now.saturating_add(SimNanos::from_nanos(delta));
+                fed.schedule(at, event);
+                heap.schedule(at, event);
+            }
+        }
+        prop_assert!(fed.is_empty());
+        prop_assert_eq!(fed.scheduled(), heap.scheduled());
     }
 }
 

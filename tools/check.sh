@@ -22,18 +22,27 @@ step() {
   STEP_SECS+=("$(awk -v a="${t0}" -v b="${t1}" 'BEGIN { printf "%6.1f", b - a }')")
 }
 
+# third_party/* members are vendored verbatim and excluded from the
+# workspace-wide lint and test steps: their targets are not held to this
+# workspace's bar and must never be edited to satisfy it.
+VENDORED=(
+  --exclude bytes --exclude criterion --exclude crossbeam
+  --exclude parking_lot --exclude proptest --exclude rand
+  --exclude serde --exclude serde_derive --exclude serde_json
+)
+
 # --all-targets lints tests, benches, and examples too — the parse
 # crates re-allow unwrap/expect (and narrowing casts) in test code, so
 # the deny lints stay aimed at library code handling untrusted images.
-# third_party/* members are vendored verbatim and excluded: their test
-# targets are not held to this workspace's lint bar and must never be
-# edited to satisfy it.
 clippy_workspace() {
-  cargo clippy --workspace --all-targets \
-    --exclude bytes --exclude criterion --exclude crossbeam \
-    --exclude parking_lot --exclude proptest --exclude rand \
-    --exclude serde --exclude serde_derive --exclude serde_json \
-    -- -D warnings
+  cargo clippy --workspace --all-targets "${VENDORED[@]}" -- -D warnings
+}
+
+# Every first-party crate's tests, not only the root package's: plain
+# `cargo test` skips the platform queue/engine suites and bench's own
+# unit tests.
+test_workspace() {
+  cargo test -q --workspace "${VENDORED[@]}"
 }
 
 # Machine-readable output must stay both parseable and schema-stable:
@@ -61,7 +70,7 @@ step "catalint --jobs 4 (parallel scan, same verdict)" \
   cargo run -q -p catalint -- --jobs 4
 step "catalint --emit json/sarif (valid) + schema fixture (up to date)" catalint_emit
 step "cargo build --release" cargo build --release
-step "cargo test" cargo test -q
+step "cargo test (workspace)" test_workspace
 step "faultsim suite" faultsim_suite
 
 # Regenerates the observability export in-memory and verifies the checked-in
